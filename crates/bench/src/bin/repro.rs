@@ -9,6 +9,7 @@
 //! the default sizes match the numbers recorded in EXPERIMENTS.md.
 
 use backbone_bench as bench;
+use backbone_query::Parallelism;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -29,7 +30,7 @@ fn main() {
         } else {
             &[0.01, 0.02, 0.05]
         };
-        println!("{}", bench::e1_tpch::report(sfs, 4, 42));
+        println!("{}", bench::e1_tpch::report(sfs, Parallelism::Fixed(4), 42));
     }
     if run("e2") {
         ran = true;

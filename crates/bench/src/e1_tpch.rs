@@ -7,7 +7,7 @@
 //! in interactive-to-minutes territory on one machine.
 
 use crate::time;
-use backbone_query::{execute, Catalog, ExecOptions, MemCatalog};
+use backbone_query::{execute, Catalog, ExecOptions, MemCatalog, Parallelism};
 use backbone_storage::Metrics;
 use backbone_workloads::{queries, tpch};
 
@@ -29,13 +29,15 @@ pub struct E1Row {
 }
 
 /// Run every query at every scale factor.
-pub fn run(sfs: &[f64], parallelism: usize, seed: u64) -> Vec<E1Row> {
+pub fn run(sfs: &[f64], parallelism: Parallelism, seed: u64) -> Vec<E1Row> {
     let mut out = Vec::new();
     for &sf in sfs {
         let catalog: MemCatalog = tpch::generate(sf, seed);
         let lineitem_rows = catalog.table("lineitem").map(|t| t.num_rows()).unwrap_or(0);
         let metrics = Metrics::new();
-        let opts = ExecOptions::with_parallelism(parallelism).with_metrics(metrics.clone());
+        let opts = ExecOptions::default()
+            .parallel(parallelism)
+            .with_metrics(metrics.clone());
         for (label, plan) in queries::all_queries(&catalog).expect("query build") {
             // One warmup, then the measured run with a clean registry.
             let _ = execute(plan.clone(), &catalog, &opts);
@@ -94,7 +96,7 @@ pub fn extrapolate(rows: &[E1Row], target_sf: f64) -> Vec<(&'static str, f64)> {
 }
 
 /// Print the experiment's table.
-pub fn report(sfs: &[f64], parallelism: usize, seed: u64) -> String {
+pub fn report(sfs: &[f64], parallelism: Parallelism, seed: u64) -> String {
     let rows = run(sfs, parallelism, seed);
     let mut out = String::new();
     out.push_str("E1: TPC-H-like analytics at laptop scale\n");
@@ -143,7 +145,7 @@ mod tests {
 
     #[test]
     fn runs_and_scales() {
-        let rows = run(&[0.001, 0.002], 1, 3);
+        let rows = run(&[0.001, 0.002], Parallelism::Serial, 3);
         assert_eq!(rows.len(), 8); // 4 queries x 2 SFs
         assert!(rows.iter().all(|r| r.seconds >= 0.0));
     }

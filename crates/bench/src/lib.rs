@@ -2,8 +2,7 @@
 //!
 //! Each `eN` module implements one experiment from EXPERIMENTS.md (the
 //! paper is a position paper; experiments reproduce its quantified claims —
-//! see DESIGN.md). The `repro` binary prints their tables; the Criterion
-//! benches in `benches/` measure the same code paths.
+//! see DESIGN.md). The `repro` binary prints their tables.
 
 pub mod e1_tpch;
 pub mod e2_orm;

@@ -195,6 +195,7 @@ pub fn run(quick: bool) -> Vec<BenchEntry> {
         }
     }
     let serial_rows = serial
+        .session()
         .sql("SELECT id, val FROM kv ORDER BY id")
         .expect("serial read")
         .to_rows();

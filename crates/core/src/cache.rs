@@ -105,8 +105,10 @@ pub(crate) struct CachedPlan {
     pub tables: Vec<String>,
     /// Number of `$n` parameter slots the statement expects.
     pub params: usize,
-    /// The fingerprint this plan was built under.
-    pub fingerprint: u64,
+    /// The statement fingerprint this plan was built under; `None` for
+    /// plans that never touch the caches (builder plans, and SQL run with
+    /// both caches off).
+    pub fingerprint: Option<u64>,
 }
 
 struct PlanState {
@@ -163,11 +165,11 @@ impl PlanCache {
         self.state.lock().map.contains_key(&fp)
     }
 
-    pub fn insert(&self, plan: Arc<CachedPlan>) {
+    pub fn insert(&self, fp: u64, plan: Arc<CachedPlan>) {
         let mut s = self.state.lock();
         s.tick += 1;
         let tick = s.tick;
-        if let Some((_, old)) = s.map.remove(&plan.fingerprint) {
+        if let Some((_, old)) = s.map.remove(&fp) {
             s.lru.remove(&old);
         } else if s.map.len() >= PLAN_CACHE_ENTRIES {
             if let Some((&t, &victim)) = s.lru.iter().next() {
@@ -176,8 +178,8 @@ impl PlanCache {
                 self.metrics.counter("cache.plan.evictions").incr();
             }
         }
-        s.lru.insert(tick, plan.fingerprint);
-        s.map.insert(plan.fingerprint, (plan, tick));
+        s.lru.insert(tick, fp);
+        s.map.insert(fp, (plan, tick));
     }
 }
 
@@ -370,7 +372,7 @@ mod tests {
             },
             tables: vec!["t".into()],
             params: 0,
-            fingerprint: fp,
+            fingerprint: Some(fp),
         })
     }
 
@@ -386,16 +388,16 @@ mod tests {
         let m = Metrics::new();
         let c = PlanCache::new(m.clone());
         assert!(c.get(1).is_none());
-        c.insert(plan_for(1));
+        c.insert(1, plan_for(1));
         assert!(c.get(1).is_some());
         assert_eq!(m.counter("cache.plan.hits").get(), 1);
         assert_eq!(m.counter("cache.plan.misses").get(), 1);
         // Fill to capacity, keep 1 warm, then overflow: 2 must go, 1 stays.
         for fp in 2..=(PLAN_CACHE_ENTRIES as u64) {
-            c.insert(plan_for(fp));
+            c.insert(fp, plan_for(fp));
         }
         assert!(c.get(1).is_some());
-        c.insert(plan_for(999_999));
+        c.insert(999_999, plan_for(999_999));
         assert_eq!(m.counter("cache.plan.evictions").get(), 1);
         assert!(c.contains(1), "recently touched entry survives");
         assert!(!c.contains(2), "LRU entry evicted");

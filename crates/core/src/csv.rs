@@ -214,13 +214,12 @@ mod tests {
         );
         assert_eq!(s.field_by_name("active").unwrap().data_type, DataType::Bool);
         // And it is queryable straight away.
-        let out = db
-            .execute(
-                db.query("people")
-                    .unwrap()
-                    .filter(col("age").gt(lit(30i64))),
-            )
-            .unwrap();
+        let session = db.session();
+        let plan = session
+            .query("people")
+            .unwrap()
+            .filter(col("age").gt(lit(30i64)));
+        let out = session.execute(plan).unwrap();
         assert_eq!(out.num_rows(), 1);
     }
 

@@ -1,5 +1,5 @@
-//! The `Database` handle: tables, indexes, query execution, and the
-//! durable open/recover lifecycle.
+//! The `Database` handle: tables, indexes, the durable open/recover
+//! lifecycle, and the statement pipeline that [`Session`] queries run on.
 
 use crate::cache::{self, CachedPlan, PlanCache, ResultCache};
 use crate::durability::{
@@ -7,15 +7,16 @@ use crate::durability::{
 };
 use crate::error::{Error, Result};
 use crate::index::VectorIndexSpec;
-use crate::session::{SearchRequest, Session};
+use crate::session::Session;
 use backbone_query::{Catalog, ExecOptions, LogicalPlan, MemCatalog, Metrics, Statement};
 use backbone_storage::checkpoint::write_checkpoint;
-use backbone_storage::{DataType, Field, RecordBatch, Schema, Table, Value};
+use backbone_storage::{RecordBatch, Schema, Table, Value};
 use backbone_text::InvertedIndex;
 use backbone_txn::wal::LogDevice;
 use backbone_txn::{EpochClock, SnapshotGuard};
 use backbone_vector::{Dataset, VectorIndex};
 use parking_lot::RwLock;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -32,14 +33,17 @@ const READER_STALL_THRESHOLD: Duration = Duration::from_millis(1);
 /// indexes use the same ordinals as document/vector ids, which is what lets
 /// the hybrid engine intersect the three worlds without any id mapping.
 ///
-/// Constructed in-memory ([`Database::open_in_memory`]) or durable
+/// Constructed in-memory ([`Database::new`]) or durable
 /// ([`Database::open`]): a durable database write-ahead-logs every
 /// `create_table`/`insert`, checkpoints periodically, and recovers its
 /// state on reopen — committed data survives a crash, and a torn log tail
 /// is truncated instead of panicking.
 ///
-/// Every method returns the unified [`Error`]; lower-layer causes stay
-/// reachable through [`std::error::Error::source`].
+/// `Database` owns construction, writes (DDL, inserts, indexes) and
+/// lifecycle (checkpoints, metrics); every read goes through a [`Session`]
+/// minted by [`Database::session`]. Every method returns the unified
+/// [`Error`]; lower-layer causes stay reachable through
+/// [`std::error::Error::source`].
 ///
 /// `Database` is a cheap, cloneable handle: all state lives behind one
 /// shared `Arc`, so handles (and the owned [`Session`]s minted from them)
@@ -141,12 +145,6 @@ impl Database {
     /// An empty in-memory database with default execution options.
     pub fn new() -> Database {
         Database::with_options(ExecOptions::default())
-    }
-
-    /// An empty in-memory database — nothing is persisted. Alias of
-    /// [`Database::new`] that reads naturally next to [`Database::open`].
-    pub fn open_in_memory() -> Database {
-        Database::new()
     }
 
     /// An empty database with custom execution options (parallelism,
@@ -523,122 +521,38 @@ impl Database {
         Session::new(self.clone())
     }
 
-    /// Start building a hybrid search against `table` (relational filter +
-    /// keyword + vector in one request). Shorthand for
-    /// [`Session::search`] on a default session.
-    pub fn search(&self, table: impl Into<String>) -> SearchRequest<'_> {
-        SearchRequest::new(self, table.into())
-    }
-
-    /// Start a declarative query against a table.
-    pub fn query(&self, table: &str) -> Result<LogicalPlan> {
-        Ok(LogicalPlan::scan(table, &self.inner.catalog)?)
-    }
-
-    /// Execute a plan to a single result batch.
-    pub fn execute(&self, plan: LogicalPlan) -> Result<RecordBatch> {
-        self.execute_with(plan, &self.inner.exec)
-    }
-
-    /// Parse and execute a SQL statement: a `SELECT`, or `EXPLAIN [ANALYZE]
-    /// SELECT ...` — the latter returns the rendered plan report as a
-    /// single-column (`plan`, one row per line) batch, like mainstream
-    /// engines do.
+    /// Resolve SQL text into something runnable: the statement pipeline's
+    /// front half, shared by [`Session::sql`] and [`Session::prepare`].
     ///
-    /// SQL and the builder API lower into the same logical algebra, so they
-    /// optimize and execute identically.
-    pub fn sql(&self, query: &str) -> Result<RecordBatch> {
-        self.sql_with(query, &self.inner.exec)
-    }
-
-    /// [`Database::sql`] with explicit execution options (the [`Session`]
-    /// routing point).
-    ///
-    /// This is the plan-cache fast path: when the options allow it, the
-    /// statement is fingerprinted (normalized text x catalog plan version x
-    /// rule selection) and a hit skips parsing and optimization entirely.
-    /// `EXPLAIN` statements never take the fast path — they must render a
-    /// report, not replay rows — but they probe the same fingerprints to
-    /// annotate the report with `plan: cached` / `result: cached@epoch N`.
-    pub fn sql_with(&self, query: &str, opts: &ExecOptions) -> Result<RecordBatch> {
+    /// When the options allow caching, the statement is fingerprinted
+    /// (normalized text x catalog plan version x rule selection) and a
+    /// plan-cache hit skips parsing and optimization entirely; each call
+    /// counts exactly one plan-cache lookup. `EXPLAIN` statements never
+    /// take the fast path — they must render a report, not replay rows —
+    /// and their cache probes stay uncounted (see
+    /// [`Database::explain_statement`]).
+    pub(crate) fn resolve(&self, query: &str, opts: &ExecOptions) -> Result<Resolved> {
         let fp = if opts.plan_cache || opts.result_cache {
             self.statement_fingerprint(query, opts)
         } else {
             None
         };
-        if opts.plan_cache {
-            if let Some(info) = &fp {
-                if !info.explain {
-                    if let Some(cached) = self.inner.plan_cache.get(info.fp) {
-                        return self.execute_cached(&cached, &[], opts);
-                    }
-                }
+        if let Some(info) = fp.as_ref().filter(|i| opts.plan_cache && !i.explain) {
+            if let Some(cached) = self.inner.plan_cache.get(info.fp) {
+                return Ok(Resolved::Select(cached));
             }
         }
+        let fp = fp.map(|i| i.fp);
         match backbone_query::parse_statement(query, &self.inner.catalog)? {
-            Statement::Select(plan) => match &fp {
-                Some(info) => {
-                    let cached = self.optimize_into_cache(info.fp, plan, opts)?;
-                    self.execute_cached(&cached, &[], opts)
-                }
-                None => self.execute_with(plan, opts),
-            },
-            Statement::Explain {
-                plan,
-                analyze: false,
-            } => {
-                let mut report = self.explain_with(&plan, opts)?;
-                if let Some(info) = &fp {
-                    self.annotate_plan_cached(&mut report, info.fp);
-                }
-                report_batch(&report)
-            }
-            Statement::Explain {
-                plan,
-                analyze: true,
-            } => {
-                let (opts_pinned, _pin) = self.pinned_opts(opts);
-                let (mut report, _rows) =
-                    backbone_query::explain_analyze(&plan, &self.inner.catalog, &opts_pinned)
-                        .map_err(Error::from)?;
-                if let Some(info) = &fp {
-                    self.annotate_plan_cached(&mut report, info.fp);
-                    let epoch = opts_pinned.snapshot_epoch.unwrap_or_default();
-                    let line = match self.table_versions(&plan.referenced_tables(), epoch) {
-                        Some(versions) if opts.result_cache => {
-                            let key = cache::result_key(info.fp, &[], &versions);
-                            if self.inner.result_cache.contains(key) {
-                                format!("result: cached@epoch {epoch}")
-                            } else {
-                                "result: fresh".to_string()
-                            }
-                        }
-                        _ => "result: fresh".to_string(),
-                    };
-                    report.push_str(&line);
-                    report.push('\n');
-                }
-                report_batch(&report)
-            }
+            Statement::Select(plan) => Ok(Resolved::Select(self.optimize(plan, fp, opts)?)),
+            Statement::Explain { plan, analyze } => Ok(Resolved::Explain { plan, analyze, fp }),
         }
-    }
-
-    /// Append the `plan: cached|fresh` line to an EXPLAIN report. Probes the
-    /// cache without counting a hit or miss, so EXPLAIN never distorts the
-    /// serving hit rate.
-    fn annotate_plan_cached(&self, report: &mut String, fp: u64) {
-        let state = if self.inner.plan_cache.contains(fp) {
-            "cached"
-        } else {
-            "fresh"
-        };
-        report.push_str(&format!("plan: {state}\n"));
     }
 
     /// Fingerprint a statement under these options, or `None` when the text
-    /// does not even lex (the parse below will produce the real error). The
-    /// leading `EXPLAIN [ANALYZE]` words are stripped so an EXPLAIN probes
-    /// the fingerprint of the statement it wraps.
+    /// does not even lex (the parse that follows produces the real error).
+    /// The leading `EXPLAIN [ANALYZE]` words are stripped so an EXPLAIN
+    /// probes the fingerprint of the statement it wraps.
     fn statement_fingerprint(&self, query: &str, opts: &ExecOptions) -> Option<FingerprintInfo> {
         let normalized = backbone_query::normalize(query).ok()?;
         let (body, explain) = strip_explain_prefix(&normalized);
@@ -648,12 +562,14 @@ impl Database {
         })
     }
 
-    /// Optimize a parsed SELECT and (when the options allow) publish it in
-    /// the plan cache under `fp`.
-    fn optimize_into_cache(
+    /// Optimize a logical plan into an executable [`CachedPlan`]. A plan
+    /// with a statement fingerprint is published in the plan cache (when
+    /// the options allow it); builder plans carry none and stay out of
+    /// both caches.
+    pub(crate) fn optimize(
         &self,
-        fp: u64,
         plan: LogicalPlan,
+        fp: Option<u64>,
         opts: &ExecOptions,
     ) -> Result<Arc<CachedPlan>> {
         let optimized = backbone_query::optimize_plan(plan, &self.inner.catalog, opts)?;
@@ -663,47 +579,52 @@ impl Database {
             plan: optimized,
             fingerprint: fp,
         });
-        if opts.plan_cache {
-            self.inner.plan_cache.insert(cached.clone());
+        if let (Some(fp), true) = (fp, opts.plan_cache) {
+            self.inner.plan_cache.insert(fp, cached.clone());
         }
         Ok(cached)
     }
 
-    /// Execute an already-optimized plan with `params` bound, serving from
-    /// (and feeding) the result cache when the options allow it.
+    /// The statement pipeline's executor: every SELECT — SQL, prepared, or
+    /// builder — runs here. Pins a snapshot (unless the options carry one),
+    /// binds `params`, and executes the optimized plan, serving from (and
+    /// feeding) the result cache when the plan has a fingerprint and the
+    /// options allow it.
     ///
     /// The result-cache key embeds, per table the plan reads, the pair
     /// `(generation, visible_rows_at(pinned epoch))` — the complete content
     /// version of an append-only table at that snapshot. A hit therefore
     /// proves the cached bytes are exactly what executing at this epoch
     /// would produce; invalidation timing never matters for correctness.
-    pub(crate) fn execute_cached(
+    pub(crate) fn execute_select(
         &self,
         cached: &CachedPlan,
         params: &[Value],
         opts: &ExecOptions,
     ) -> Result<RecordBatch> {
         let (opts, _pin) = self.pinned_opts(opts);
-        let key = if opts.result_cache {
-            let epoch = opts
-                .snapshot_epoch
-                .unwrap_or_else(|| self.inner.clock.published());
-            self.table_versions(&cached.tables, epoch).map(|versions| {
-                let gens = versions.iter().map(|&(g, _)| g).collect::<Vec<_>>();
-                (
-                    cache::result_key(cached.fingerprint, params, &versions),
-                    gens,
-                )
-            })
-        } else {
-            None
+        let key = match cached.fingerprint {
+            Some(fp) if opts.result_cache => {
+                let epoch = opts
+                    .snapshot_epoch
+                    .unwrap_or_else(|| self.inner.clock.published());
+                self.table_versions(&cached.tables, epoch).map(|versions| {
+                    let gens = versions.iter().map(|&(g, _)| g).collect::<Vec<_>>();
+                    (cache::result_key(fp, params, &versions), gens)
+                })
+            }
+            _ => None,
         };
         if let Some((k, _)) = &key {
             if let Some(hit) = self.inner.result_cache.get(*k) {
                 return Ok(hit);
             }
         }
-        let bound = cached.plan.bind_params(params)?;
+        // A plan without placeholders runs as is; binding would only clone it.
+        let bound = match cached.params {
+            0 => Cow::Borrowed(&cached.plan),
+            _ => Cow::Owned(cached.plan.bind_params(params)?),
+        };
         let batch = backbone_query::execute_optimized(&bound, &self.inner.catalog, &opts)?;
         if let Some((k, gens)) = &key {
             self.inner
@@ -711,6 +632,59 @@ impl Database {
                 .insert(*k, &batch, &cached.tables, gens);
         }
         Ok(batch)
+    }
+
+    /// The statement pipeline's renderer: EXPLAIN (the plan before and after
+    /// optimization, with estimates) or, with `analyze`, EXPLAIN ANALYZE
+    /// (the plan run instrumented under a pinned snapshot, annotated with
+    /// measured per-operator rows, batches and time; the rows come back
+    /// too). Operator totals also accumulate into [`Database::metrics`].
+    ///
+    /// A statement fingerprint `fp` (SQL `EXPLAIN`) adds `plan:` and, for
+    /// ANALYZE, `result:` lines saying whether the caches hold this
+    /// statement. The probes count no hit or miss, so EXPLAIN never
+    /// distorts the serving hit rate.
+    pub(crate) fn explain_statement(
+        &self,
+        plan: &LogicalPlan,
+        analyze: bool,
+        fp: Option<u64>,
+        opts: &ExecOptions,
+    ) -> Result<(String, Option<RecordBatch>)> {
+        let catalog = &self.inner.catalog;
+        let plan_line = |fp: u64| {
+            if self.inner.plan_cache.contains(fp) {
+                "plan: cached\n"
+            } else {
+                "plan: fresh\n"
+            }
+        };
+        if !analyze {
+            let mut report = backbone_query::executor::explain(plan, catalog, opts)?;
+            if let Some(fp) = fp {
+                report.push_str(plan_line(fp));
+            }
+            return Ok((report, None));
+        }
+        let (opts, _pin) = self.pinned_opts(opts);
+        let (mut report, rows) = backbone_query::explain_analyze(plan, catalog, &opts)?;
+        if let Some(fp) = fp {
+            report.push_str(plan_line(fp));
+            let epoch = opts.snapshot_epoch.unwrap_or_default();
+            let cached = opts.result_cache
+                && self
+                    .table_versions(&plan.referenced_tables(), epoch)
+                    .is_some_and(|versions| {
+                        let key = cache::result_key(fp, &[], &versions);
+                        self.inner.result_cache.contains(key)
+                    });
+            if cached {
+                report.push_str(&format!("result: cached@epoch {epoch}\n"));
+            } else {
+                report.push_str("result: fresh\n");
+            }
+        }
+        Ok((report, Some(rows)))
     }
 
     /// The `(generation, visible_rows_at(epoch))` content version of each
@@ -728,90 +702,6 @@ impl Database {
             .collect()
     }
 
-    /// Parse and optimize a statement for repeated execution, reusing the
-    /// plan cache when possible. Only `SELECT` (with optional `$n`
-    /// placeholders) can be prepared. The serving entry point is
-    /// [`Session::prepare`], which wraps the returned plan in a handle.
-    pub(crate) fn prepare_statement(
-        &self,
-        query: &str,
-        opts: &ExecOptions,
-    ) -> Result<Arc<CachedPlan>> {
-        let fp = self.statement_fingerprint(query, opts);
-        if opts.plan_cache {
-            if let Some(info) = &fp {
-                if !info.explain {
-                    if let Some(cached) = self.inner.plan_cache.get(info.fp) {
-                        return Ok(cached);
-                    }
-                }
-            }
-        }
-        match backbone_query::parse_statement(query, &self.inner.catalog)? {
-            Statement::Select(plan) => {
-                // `fp` is Some whenever the statement lexed, which parsing
-                // just proved; 0 would only key an unreachable result entry.
-                let fp = fp.map(|i| i.fp).unwrap_or(0);
-                self.optimize_into_cache(fp, plan, opts)
-            }
-            Statement::Explain { .. } => Err(Error::InvalidInput(
-                "only SELECT statements can be prepared".into(),
-            )),
-        }
-    }
-
-    /// Execute with explicit options (e.g. parallel scans, optimizer off).
-    ///
-    /// Unless the options already carry a `snapshot_epoch`, a snapshot is
-    /// pinned here for the duration of the query: scans read each table's
-    /// committed prefix as of this instant, untouched by concurrent
-    /// inserts — readers never block writers and never see a torn batch.
-    pub fn execute_with(&self, plan: LogicalPlan, opts: &ExecOptions) -> Result<RecordBatch> {
-        let (opts, _pin) = self.pinned_opts(opts);
-        Ok(backbone_query::execute(plan, &self.inner.catalog, &opts)?)
-    }
-
-    /// EXPLAIN a plan: logical and optimized forms with estimates.
-    pub fn explain(&self, plan: &LogicalPlan) -> Result<String> {
-        self.explain_with(plan, &self.inner.exec)
-    }
-
-    /// [`Database::explain`] with explicit execution options.
-    pub fn explain_with(&self, plan: &LogicalPlan, opts: &ExecOptions) -> Result<String> {
-        Ok(backbone_query::executor::explain(
-            plan,
-            &self.inner.catalog,
-            opts,
-        )?)
-    }
-
-    /// EXPLAIN ANALYZE a plan: run it instrumented and return the physical
-    /// plan annotated with measured per-operator rows-in/rows-out, batch
-    /// counts, and elapsed time, alongside the query result. Operator
-    /// totals also accumulate into [`Database::metrics`] (`op.*`).
-    ///
-    /// Takes `&LogicalPlan`, same as [`Database::explain`] — the two share
-    /// a signature so callers can explain and then analyze the same plan
-    /// without cloning at the call site.
-    pub fn explain_analyze(&self, plan: &LogicalPlan) -> Result<(String, RecordBatch)> {
-        self.explain_analyze_with(plan, &self.inner.exec)
-    }
-
-    /// [`Database::explain_analyze`] with explicit execution options.
-    /// Pins a snapshot exactly like [`Database::execute_with`].
-    pub fn explain_analyze_with(
-        &self,
-        plan: &LogicalPlan,
-        opts: &ExecOptions,
-    ) -> Result<(String, RecordBatch)> {
-        let (opts, _pin) = self.pinned_opts(opts);
-        Ok(backbone_query::explain_analyze(
-            plan,
-            &self.inner.catalog,
-            &opts,
-        )?)
-    }
-
     /// The database's baseline execution options (sessions start from a
     /// clone of these).
     pub(crate) fn exec_options(&self) -> &ExecOptions {
@@ -825,7 +715,7 @@ impl Database {
 
     /// Number of rows currently in a table.
     pub fn row_count(&self, table: &str) -> Option<usize> {
-        self.inner.tables.read().get(table).map(|t| t.num_rows())
+        self.inner.catalog.table(table).map(|t| t.num_rows())
     }
 
     /// Build a full-text index over a UTF-8 column of `table`. Document ids
@@ -834,8 +724,7 @@ impl Database {
     /// external per-row data the way
     /// [`create_text_index_from`](Database::create_text_index_from) does.
     pub fn create_text_index(&self, table: &str, column: &str) -> Result<()> {
-        let snapshot = self.flushed_snapshot(table)?;
-        let batch = snapshot.to_batch()?;
+        let batch = self.published(table)?.to_batch()?;
         let col = batch.column_by_name(column)?;
         // Dictionary-encoded columns decode here: the inverted index wants
         // per-row text, not code space.
@@ -926,7 +815,7 @@ impl Database {
     /// Evaluate a predicate over a table into a row mask, one row group at
     /// a time — no whole-table materialization.
     pub fn eval_mask(&self, table: &str, predicate: &backbone_query::Expr) -> Result<Vec<bool>> {
-        let snapshot = self.flushed_snapshot(table)?;
+        let snapshot = self.published(table)?;
         let mut mask = Vec::with_capacity(snapshot.num_rows());
         for gi in 0..snapshot.num_groups() {
             let group = snapshot.group(gi)?;
@@ -940,11 +829,7 @@ impl Database {
 
     /// Materialize a whole table (row ordinals = batch positions).
     pub fn table_batch(&self, table: &str) -> Result<RecordBatch> {
-        let tables = self.inner.tables.read();
-        let t = tables
-            .get(table)
-            .ok_or_else(|| Error::TableNotFound(table.to_string()))?;
-        Ok(t.to_batch()?)
+        Ok(self.published(table)?.to_batch()?)
     }
 
     /// Names of registered tables.
@@ -952,15 +837,29 @@ impl Database {
         self.inner.catalog.table_names()
     }
 
-    /// A flushed clone of a table (sealed groups shared, pending sealed).
-    fn flushed_snapshot(&self, table: &str) -> Result<Table> {
-        let mut tables = self.inner.tables.write();
-        let t = tables
-            .get_mut(table)
-            .ok_or_else(|| Error::TableNotFound(table.to_string()))?;
-        t.flush()?;
-        Ok(t.clone())
+    /// The table as last published to the catalog: already flushed, and
+    /// read without touching the writers' lock or the live table's
+    /// pending tail.
+    fn published(&self, table: &str) -> Result<Arc<Table>> {
+        self.inner
+            .catalog
+            .table(table)
+            .ok_or_else(|| Error::TableNotFound(table.to_string()))
     }
+}
+
+/// What [`Database::resolve`] made of a SQL statement.
+pub(crate) enum Resolved {
+    /// A SELECT, optimized and ready for [`Database::execute_select`].
+    Select(Arc<CachedPlan>),
+    /// An `EXPLAIN [ANALYZE]` of a parsed plan, for
+    /// [`Database::explain_statement`]; `fp` is the wrapped statement's
+    /// fingerprint when the caches are on.
+    Explain {
+        plan: LogicalPlan,
+        analyze: bool,
+        fp: Option<u64>,
+    },
 }
 
 /// What fingerprinting learned about a statement before parsing it.
@@ -985,13 +884,6 @@ fn strip_explain_prefix(normalized: &str) -> (&str, bool) {
         Some((w, body)) if w.eq_ignore_ascii_case("ANALYZE") => (body, true),
         _ => (rest, true),
     }
-}
-
-/// Render a plan report as a single-column batch, one row per line.
-fn report_batch(report: &str) -> Result<RecordBatch> {
-    let schema = Schema::new(vec![Field::new("plan", DataType::Utf8)]);
-    let rows: Vec<Vec<Value>> = report.lines().map(|l| vec![Value::str(l)]).collect();
-    Ok(RecordBatch::from_rows(schema, &rows)?)
 }
 
 impl Default for Database {
@@ -1031,11 +923,20 @@ mod tests {
 
     #[test]
     fn create_insert_query() {
-        let db = db_with_table();
-        let out = db
-            .execute(db.query("t").unwrap().filter(col("id").gt(lit(1i64))))
-            .unwrap();
+        let session = db_with_table().session();
+        let plan = session.query("t").unwrap().filter(col("id").gt(lit(1i64)));
+        let out = session.execute(plan.clone()).unwrap();
         assert_eq!(out.num_rows(), 2);
+        // Builder plans share the SQL executor but never touch the caches.
+        assert_eq!(session.execute(plan).unwrap().to_rows(), out.to_rows());
+        let metrics = session.database().metrics();
+        for name in [
+            "cache.plan.misses",
+            "cache.result.misses",
+            "cache.result.hits",
+        ] {
+            assert_eq!(metrics.value(name), 0, "{name}");
+        }
     }
 
     #[test]
@@ -1061,7 +962,8 @@ mod tests {
         let db = db_with_table();
         db.insert("t", vec![vec![Value::Int(4), Value::str("green newt")]])
             .unwrap();
-        let out = db.execute(db.query("t").unwrap()).unwrap();
+        let session = db.session();
+        let out = session.execute(session.query("t").unwrap()).unwrap();
         assert_eq!(out.num_rows(), 4);
         assert_eq!(db.row_count("t"), Some(4));
     }
@@ -1087,12 +989,12 @@ mod tests {
         };
         let readers: Vec<_> = (0..3)
             .map(|_| {
-                let db = db.clone();
+                let session = db.session();
                 let done = done.clone();
                 std::thread::spawn(move || {
                     let mut last = 0usize;
                     while !done.load(Ordering::Acquire) {
-                        let out = db.execute(db.query("t").unwrap()).unwrap();
+                        let out = session.execute(session.query("t").unwrap()).unwrap();
                         // Row counts only grow, and every visible id is valid.
                         assert!(out.num_rows() >= last, "snapshot went backwards");
                         last = out.num_rows();
@@ -1106,8 +1008,32 @@ mod tests {
         for r in readers {
             r.join().unwrap();
         }
-        let out = db.execute(db.query("t").unwrap()).unwrap();
+        let session = db.session();
+        let out = session.execute(session.query("t").unwrap()).unwrap();
         assert_eq!(out.num_rows(), 500);
+    }
+
+    #[test]
+    fn reads_do_not_fragment_the_live_table() {
+        let db = Database::new();
+        db.create_table(
+            "t",
+            Schema::new(vec![
+                Field::new("id", DataType::Int64),
+                Field::new("txt", DataType::Utf8),
+            ]),
+        )
+        .unwrap();
+        let row = |i: i64| vec![Value::Int(i), Value::str("doc")];
+        db.insert("t", (0..100).map(row).collect()).unwrap();
+        // Reads must not seal the live table's pending tail into a group of
+        // its own: the next insert keeps appending to the same tail.
+        let mask = db.eval_mask("t", &col("id").lt(lit(10i64))).unwrap();
+        assert_eq!(mask.iter().filter(|&&m| m).count(), 10);
+        db.create_text_index("t", "txt").unwrap();
+        assert_eq!(db.table_batch("t").unwrap().num_rows(), 100);
+        db.insert("t", vec![row(100)]).unwrap();
+        assert_eq!(db.catalog().table("t").unwrap().num_groups(), 1);
     }
 
     #[test]
@@ -1167,9 +1093,9 @@ mod tests {
 
     #[test]
     fn explain_works_through_db() {
-        let db = db_with_table();
-        let plan = db.query("t").unwrap().filter(col("id").eq(lit(2i64)));
-        let text = db.explain(&plan).unwrap();
+        let session = db_with_table().session();
+        let plan = session.query("t").unwrap().filter(col("id").eq(lit(2i64)));
+        let text = session.explain(&plan).unwrap();
         assert!(text.contains("Optimized plan"));
     }
 
@@ -1177,6 +1103,7 @@ mod tests {
     fn sql_explain_analyze_returns_plan_rows() {
         let db = db_with_table();
         let out = db
+            .session()
             .sql("EXPLAIN ANALYZE SELECT id FROM t WHERE id > 1")
             .unwrap();
         assert_eq!(out.schema().field(0).name, "plan");
@@ -1188,7 +1115,7 @@ mod tests {
         assert!(text.contains("rows_out="), "{text}");
         assert!(text.contains("time="), "{text}");
         // Plain EXPLAIN renders without running.
-        let out = db.sql("EXPLAIN SELECT id FROM t").unwrap();
+        let out = db.session().sql("EXPLAIN SELECT id FROM t").unwrap();
         assert!(out.row(0)[0]
             .as_str()
             .unwrap()
@@ -1198,7 +1125,10 @@ mod tests {
     #[test]
     fn db_metrics_accumulate_operator_truth() {
         let db = db_with_table();
-        db.explain_analyze(&db.query("t").unwrap()).unwrap();
+        let session = db.session();
+        session
+            .explain_analyze(&session.query("t").unwrap())
+            .unwrap();
         assert_eq!(db.metrics().value("op.scan.rows_out"), 3);
     }
 
@@ -1206,15 +1136,16 @@ mod tests {
     fn sql_serves_repeats_from_both_caches() {
         let db = db_with_table();
         let q = "SELECT id FROM t WHERE id > 1";
-        let cold = db.sql(q).unwrap();
+        let cold = db.session().sql(q).unwrap();
         assert_eq!(db.metrics().value("cache.plan.misses"), 1);
         assert_eq!(db.metrics().value("cache.plan.hits"), 0);
-        let warm = db.sql(q).unwrap();
+        let warm = db.session().sql(q).unwrap();
         assert_eq!(db.metrics().value("cache.plan.hits"), 1);
         assert_eq!(db.metrics().value("cache.result.hits"), 1);
         assert_eq!(cold.to_rows(), warm.to_rows());
         // Formatting differences normalize to the same fingerprint.
-        db.sql("SELECT id\n  FROM t -- comment\n  WHERE id > 1")
+        db.session()
+            .sql("SELECT id\n  FROM t -- comment\n  WHERE id > 1")
             .unwrap();
         assert_eq!(db.metrics().value("cache.plan.hits"), 2);
     }
@@ -1225,28 +1156,30 @@ mod tests {
         db.create_table("u", Schema::new(vec![Field::new("x", DataType::Int64)]))
             .unwrap();
         db.insert("u", vec![vec![Value::Int(9)]]).unwrap();
-        db.sql("SELECT id FROM t").unwrap();
-        db.sql("SELECT x FROM u").unwrap();
-        db.sql("SELECT id FROM t").unwrap();
-        db.sql("SELECT x FROM u").unwrap();
+        db.session().sql("SELECT id FROM t").unwrap();
+        db.session().sql("SELECT x FROM u").unwrap();
+        db.session().sql("SELECT id FROM t").unwrap();
+        db.session().sql("SELECT x FROM u").unwrap();
         assert_eq!(db.metrics().value("cache.result.hits"), 2);
         // A commit to `u` retires u's results; t's entries keep serving.
         db.insert("u", vec![vec![Value::Int(10)]]).unwrap();
         assert!(db.metrics().value("cache.result.invalidations") >= 1);
-        db.sql("SELECT id FROM t").unwrap();
+        db.session().sql("SELECT id FROM t").unwrap();
         assert_eq!(db.metrics().value("cache.result.hits"), 3);
         // And the refreshed `u` query sees the new row, not the cached one.
-        let out = db.sql("SELECT x FROM u").unwrap();
+        let out = db.session().sql("SELECT x FROM u").unwrap();
         assert_eq!(out.num_rows(), 2);
     }
 
     #[test]
     fn result_cache_opt_out_always_executes() {
         let db = db_with_table();
-        let opts = db.exec_options().clone().without_caches();
+        let session = db
+            .session()
+            .with_options(ExecOptions::default().without_caches());
         let q = "SELECT id FROM t";
-        db.sql_with(q, &opts).unwrap();
-        db.sql_with(q, &opts).unwrap();
+        session.sql(q).unwrap();
+        session.sql(q).unwrap();
         assert_eq!(db.metrics().value("cache.plan.hits"), 0);
         assert_eq!(db.metrics().value("cache.plan.misses"), 0);
         assert_eq!(db.metrics().value("cache.result.hits"), 0);
@@ -1262,17 +1195,17 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        let cold = db.sql(&format!("EXPLAIN ANALYZE {q}")).unwrap();
+        let cold = db.session().sql(&format!("EXPLAIN ANALYZE {q}")).unwrap();
         let cold = text_of(&cold);
         assert!(cold.contains("plan: fresh"), "{cold}");
         assert!(cold.contains("result: fresh"), "{cold}");
-        db.sql(q).unwrap();
-        let warm = db.sql(&format!("EXPLAIN ANALYZE {q}")).unwrap();
+        db.session().sql(q).unwrap();
+        let warm = db.session().sql(&format!("EXPLAIN ANALYZE {q}")).unwrap();
         let warm = text_of(&warm);
         assert!(warm.contains("plan: cached"), "{warm}");
         assert!(warm.contains("result: cached@epoch"), "{warm}");
         // Plain EXPLAIN annotates the plan line too.
-        let plain = db.sql(&format!("EXPLAIN {q}")).unwrap();
+        let plain = db.session().sql(&format!("EXPLAIN {q}")).unwrap();
         assert!(text_of(&plain).contains("plan: cached"));
         // EXPLAIN itself must not replay cached rows: it still reports.
         assert!(warm.contains("== Analyzed plan"), "{warm}");
@@ -1304,7 +1237,7 @@ mod tests {
     fn register_table_retires_cached_results() {
         let db = db_with_table();
         let q = "SELECT COUNT(*) FROM t";
-        let before = db.sql(q).unwrap();
+        let before = db.session().sql(q).unwrap();
         assert_eq!(before.row(0)[0], Value::Int(3));
         // Replace `t` wholesale with same-schema content of equal cardinality
         // — row counts alone cannot distinguish it; the generation bump must.
@@ -1319,7 +1252,7 @@ mod tests {
                 .unwrap();
         }
         db.register_table("t", table).unwrap();
-        let after = db.sql("SELECT id FROM t WHERE id >= 10").unwrap();
+        let after = db.session().sql("SELECT id FROM t WHERE id >= 10").unwrap();
         assert_eq!(after.num_rows(), 3);
     }
 }

@@ -40,19 +40,23 @@
 //!     vec![Value::str("pear"), Value::Float(0.5)],
 //! ]).unwrap();
 //!
-//! let plan = db.query("fruit").unwrap()
+//! // Every read goes through a session.
+//! let session = db.session();
+//! let plan = session.query("fruit").unwrap()
 //!     .filter(col("kg").gt(lit(1.0)))
 //!     .aggregate(vec![], vec![count_star().alias("n")]);
-//! let out = db.execute(plan).unwrap();
+//! let out = session.execute(plan).unwrap();
 //! assert_eq!(out.row(0)[0], Value::Int(1));
+//! let out = session.sql("SELECT name FROM fruit WHERE kg < 1.0").unwrap();
+//! assert_eq!(out.row(0)[0], Value::str("pear"));
 //! ```
 
 //!
 //! ## Observability
 //!
 //! Every [`Database`] owns a shared [`Metrics`] registry:
-//! `db.sql("EXPLAIN ANALYZE SELECT ...")` (or [`Database::explain_analyze`])
-//! runs the plan instrumented and renders per-operator rows-in/rows-out and
+//! `session.sql("EXPLAIN ANALYZE SELECT ...")` (or
+//! [`Session::explain_analyze`]) runs the plan instrumented and renders per-operator rows-in/rows-out and
 //! elapsed time, while operator totals (`op.*`), hybrid-search stage timings
 //! (`hybrid.*`), and — when storage is wired to the same registry —
 //! buffer-pool traffic (`bufferpool.*`) accumulate as counters readable via
@@ -64,10 +68,10 @@
 //! `create_table`/`insert` is WAL-logged (checksummed, file-backed, group
 //! commit) before it is acknowledged, checkpoints snapshot tables and
 //! truncate the log, and reopening replays checkpoint + log tail (see
-//! [`durability`] and `DESIGN.md` § Durability & recovery). Per-caller
-//! execution state lives in [`Session`]s (`db.session()`), and hybrid
-//! queries are assembled with the [`SearchRequest`] builder
-//! (`db.search("t").keyword("...").vector(v).k(5).run()`).
+//! [`durability`] and `DESIGN.md` § Durability & recovery). Reads and
+//! per-caller execution state live in [`Session`]s (`db.session()`), and
+//! hybrid queries are assembled with the [`SearchRequest`] builder
+//! (`session.search("t").keyword("...").vector(v).k(5).run()`).
 
 pub(crate) mod cache;
 pub mod csv;

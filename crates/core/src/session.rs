@@ -1,13 +1,21 @@
 //! Sessions and the hybrid-search request builder.
 //!
-//! A [`Session`] is a lightweight per-caller handle over a shared
-//! [`Database`]: it carries its own [`ExecOptions`] (parallelism, optimizer
-//! rules) so two sessions can run the same database with different
-//! execution settings, while all data, indexes, durability, and metrics
-//! stay shared. Sessions *own* a database handle (an `Arc` clone under the
-//! hood) — [`Database::session`] mints them for the cost of one refcount,
-//! and they move freely across threads, which is how the network server
-//! gives every connection its own session without borrowing from anything.
+//! A [`Session`] is the engine's one query surface: every read — SQL,
+//! prepared statements, builder plans, `EXPLAIN [ANALYZE]`, hybrid search —
+//! is issued through one, while [`Database`] keeps construction, writes and
+//! lifecycle. SQL and prepared statements resolve through one statement
+//! pipeline (fingerprint, plan-cache probe, parse, optimize), and every
+//! SELECT then runs through one executor (snapshot pin, result-cache probe,
+//! bind, execute).
+//!
+//! A session is a lightweight per-caller handle over a shared database: it
+//! carries its own [`ExecOptions`] (parallelism, optimizer rules, caches)
+//! so two sessions can run the same database with different execution
+//! settings, while all data, indexes, durability, and metrics stay shared.
+//! Sessions *own* a database handle (an `Arc` clone under the hood) —
+//! [`Database::session`] mints them for the cost of one refcount, and they
+//! move freely across threads, which is how the network server gives every
+//! connection its own session without borrowing from anything.
 //!
 //! [`SearchRequest`] consolidates the hybrid-search plumbing behind one
 //! typed builder (the same consuming-builder style as
@@ -16,13 +24,13 @@
 //! unified engine or the bolt-on baseline over the identical spec.
 
 use crate::cache::CachedPlan;
-use crate::database::Database;
+use crate::database::{Database, Resolved};
 use crate::error::{Error, Result};
 use crate::hybrid::{
     bolton_search, unified_search, FusionWeights, HybridHit, HybridSpec, SearchCost,
 };
 use backbone_query::{ExecOptions, Expr, LogicalPlan, Parallelism};
-use backbone_storage::{RecordBatch, Schema, Value};
+use backbone_storage::{DataType, Field, RecordBatch, Schema, Value};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -64,11 +72,9 @@ impl Session {
     }
 
     /// Set this session's execution parallelism (consuming builder): every
-    /// statement on the session runs with it. Accepts the typed
-    /// [`Parallelism`] enum or a bare worker count for compatibility
-    /// (`0`/`1` mean serial).
-    pub fn with_parallelism(mut self, parallelism: impl Into<Parallelism>) -> Session {
-        self.opts.parallelism = parallelism.into();
+    /// statement on the session runs with it.
+    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Session {
+        self.opts.parallelism = parallelism;
         self
     }
 
@@ -97,9 +103,24 @@ impl Session {
         &self.db
     }
 
-    /// Parse and execute SQL under this session's options.
+    /// Parse and execute SQL under this session's options: a `SELECT`, or
+    /// `EXPLAIN [ANALYZE] SELECT ...` — the latter returns the rendered plan
+    /// report as a single-column (`plan`, one row per line) batch, like
+    /// mainstream engines do.
+    ///
+    /// SQL and the builder API lower into the same logical algebra, so they
+    /// optimize and execute identically. Repeated statements are served from
+    /// the plan and result caches when the session's options allow it;
+    /// EXPLAIN reports say so with `plan: cached` / `result: cached@epoch N`
+    /// lines.
     pub fn sql(&self, query: &str) -> Result<RecordBatch> {
-        self.db.sql_with(query, &self.opts)
+        match self.db.resolve(query, &self.opts)? {
+            Resolved::Select(plan) => self.db.execute_select(&plan, &[], &self.opts),
+            Resolved::Explain { plan, analyze, fp } => {
+                let (report, _) = self.db.explain_statement(&plan, analyze, fp, &self.opts)?;
+                report_batch(&report)
+            }
+        }
     }
 
     /// Prepare a `SELECT` (with optional `$1`-style placeholders) for
@@ -108,7 +129,11 @@ impl Session {
     /// physical planning. The optimized plan is shared with the plan cache,
     /// so re-preparing a hot statement costs one lookup.
     pub fn prepare(&self, query: &str) -> Result<PreparedInfo> {
-        let plan = self.db.prepare_statement(query, &self.opts)?;
+        let Resolved::Select(plan) = self.db.resolve(query, &self.opts)? else {
+            return Err(Error::InvalidInput(
+                "only SELECT statements can be prepared".into(),
+            ));
+        };
         let params = plan.params;
         let mut st = self.prepared.lock();
         st.next_id += 1;
@@ -130,7 +155,7 @@ impl Session {
             .ok_or_else(|| {
                 Error::InvalidInput(format!("unknown prepared statement handle {id}"))
             })?;
-        self.db.execute_cached(&plan, params, &self.opts)
+        self.db.execute_select(&plan, params, &self.opts)
     }
 
     /// Drop a prepared statement, returning whether the handle existed.
@@ -140,57 +165,53 @@ impl Session {
 
     /// Start a declarative query against a table.
     pub fn query(&self, table: &str) -> Result<LogicalPlan> {
-        self.db.query(table)
+        Ok(LogicalPlan::scan(table, self.db.catalog())?)
     }
 
-    /// Execute a plan under this session's options.
+    /// Execute a builder plan under this session's options. Builder plans
+    /// run through the same executor as SQL but never touch the caches.
+    ///
+    /// Unless the options already carry a `snapshot_epoch`, a snapshot is
+    /// pinned for the duration of the query: scans read each table's
+    /// committed prefix as of this instant, untouched by concurrent
+    /// inserts — readers never block writers and never see a torn batch.
     pub fn execute(&self, plan: LogicalPlan) -> Result<RecordBatch> {
-        self.db.execute_with(plan, &self.opts)
+        let plan = self.db.optimize(plan, None, &self.opts)?;
+        self.db.execute_select(&plan, &[], &self.opts)
     }
 
-    /// EXPLAIN a plan under this session's options.
+    /// EXPLAIN a plan under this session's options: logical and optimized
+    /// forms with estimates.
     pub fn explain(&self, plan: &LogicalPlan) -> Result<String> {
-        self.db.explain_with(plan, &self.opts)
+        let (report, _) = self.db.explain_statement(plan, false, None, &self.opts)?;
+        Ok(report)
     }
 
-    /// EXPLAIN ANALYZE a plan under this session's options (same
-    /// `&LogicalPlan` signature as [`Session::explain`]).
+    /// EXPLAIN ANALYZE a plan under this session's options: run it
+    /// instrumented and return the physical plan annotated with measured
+    /// per-operator rows-in/rows-out, batch counts, and elapsed time,
+    /// alongside the query result. Takes `&LogicalPlan`, same as
+    /// [`Session::explain`], so callers can explain and then analyze the
+    /// same plan without cloning.
     pub fn explain_analyze(&self, plan: &LogicalPlan) -> Result<(String, RecordBatch)> {
-        self.db.explain_analyze_with(plan, &self.opts)
-    }
-
-    /// Create a table (durable when the database is; see
-    /// [`Database::create_table`]).
-    pub fn create_table(&self, name: impl Into<String>, schema: Arc<Schema>) -> Result<()> {
-        self.db.create_table(name, schema)
-    }
-
-    /// Insert rows (durable when the database is; see [`Database::insert`]).
-    pub fn insert(&self, table: &str, rows: Vec<Vec<Value>>) -> Result<()> {
-        self.db.insert(table, rows)
-    }
-
-    /// Take a checkpoint now (see [`Database::checkpoint`]).
-    pub fn checkpoint(&self) -> Result<()> {
-        self.db.checkpoint()
-    }
-
-    /// Force every logged op to stable storage (see [`Database::wal_sync`]).
-    pub fn wal_sync(&self) -> Result<()> {
-        self.db.wal_sync()
-    }
-
-    /// Pin the current snapshot (see [`Database::pin_snapshot`]): queries
-    /// run with [`ExecOptions::at_snapshot`] at the guard's epoch read a
-    /// stable committed prefix for as long as the guard lives.
-    pub fn pin_snapshot(&self) -> backbone_txn::SnapshotGuard {
-        self.db.pin_snapshot()
+        let (report, rows) = self.db.explain_statement(plan, true, None, &self.opts)?;
+        Ok((
+            report,
+            rows.expect("EXPLAIN ANALYZE returns the rows it ran"),
+        ))
     }
 
     /// Start building a hybrid search against `table`.
     pub fn search(&self, table: impl Into<String>) -> SearchRequest<'_> {
         SearchRequest::new(&self.db, table.into())
     }
+}
+
+/// Render a plan report as a single-column batch, one row per line.
+fn report_batch(report: &str) -> Result<RecordBatch> {
+    let schema = Schema::new(vec![Field::new("plan", DataType::Utf8)]);
+    let rows: Vec<Vec<Value>> = report.lines().map(|l| vec![Value::str(l)]).collect();
+    Ok(RecordBatch::from_rows(schema, &rows)?)
 }
 
 /// Which architecture executes a [`SearchRequest`].
@@ -218,6 +239,7 @@ pub enum SearchStrategy {
 /// #     backbone_storage::Value::str("column stores")]]).unwrap();
 /// # db.create_text_index("docs", "body").unwrap();
 /// let response = db
+///     .session()
 ///     .search("docs")
 ///     .filter(col("year").gt(lit(2020i64)))
 ///     .keyword("column stores")
@@ -365,7 +387,7 @@ mod tests {
     fn sessions_carry_independent_options() {
         let db = seeded_db();
         let serial = db.session();
-        let fixed = db.session().with_parallelism(4);
+        let fixed = db.session().with_parallelism(Parallelism::Fixed(4));
         let auto = db.session().with_parallelism(Parallelism::Auto);
         assert_eq!(serial.options().parallelism, Parallelism::Serial);
         assert_eq!(fixed.options().parallelism, Parallelism::Fixed(4));
@@ -386,15 +408,18 @@ mod tests {
         let db = seeded_db();
         let session = db.session();
         session
+            .database()
             .insert("t", vec![vec![Value::Int(4), Value::str("green newt")]])
             .unwrap();
         assert_eq!(db.row_count("t"), Some(4));
+        assert_eq!(session.sql("SELECT id FROM t").unwrap().num_rows(), 4);
     }
 
     #[test]
     fn search_builder_matches_direct_spec() {
         let db = seeded_db();
         let response = db
+            .session()
             .search("t")
             .filter(col("id").gt(lit(1i64)))
             .keyword("red")
@@ -418,8 +443,9 @@ mod tests {
     #[test]
     fn bolton_strategy_runs_the_baseline() {
         let db = seeded_db();
-        let unified = db.search("t").keyword("red").k(3).run().unwrap();
-        let bolton = db
+        let session = db.session();
+        let unified = session.search("t").keyword("red").k(3).run().unwrap();
+        let bolton = session
             .search("t")
             .keyword("red")
             .k(3)

@@ -4,7 +4,7 @@ use crate::catalog::Catalog;
 use crate::error::Result;
 use crate::logical::LogicalPlan;
 use crate::optimizer::{estimate_rows, Optimizer, Rule};
-use crate::physical::{drain, drain_one};
+use crate::physical::drain_one;
 use crate::planner::{create_instrumented_plan, create_physical_plan};
 use backbone_storage::metrics::Metrics;
 use backbone_storage::RecordBatch;
@@ -59,18 +59,6 @@ impl Parallelism {
     }
 }
 
-/// Back-compat with the old `parallelism: usize` knob: `0` and `1` meant a
-/// serial scan, anything larger meant that many workers.
-impl From<usize> for Parallelism {
-    fn from(n: usize) -> Parallelism {
-        if n <= 1 {
-            Parallelism::Serial
-        } else {
-            Parallelism::Fixed(n)
-        }
-    }
-}
-
 /// Execution knobs.
 ///
 /// `parallelism` is the worker-thread policy ("automatic scalability": the
@@ -100,14 +88,14 @@ pub struct ExecOptions {
     /// this epoch, so concurrent appends — even already-registered ones —
     /// stay invisible for the lifetime of the query.
     pub snapshot_epoch: Option<u64>,
-    /// Serve `Database::sql` statements from the plan cache (and populate it
+    /// Serve `Session::sql` statements from the plan cache (and populate it
     /// on a miss). Off = always re-parse and re-optimize. Of all the knobs
     /// here, only `rules` changes the cached artifact — the optimized
     /// *logical* plan — so only `rules` joins the cache key; parallelism,
     /// batch size, and memory budget steer per-execution *physical* planning,
     /// which always runs fresh against the caller's options.
     pub plan_cache: bool,
-    /// Serve read-only `Database::sql` results from the epoch-tagged result
+    /// Serve read-only `Session::sql` results from the epoch-tagged result
     /// cache (and populate it on a miss). Off = always execute.
     pub result_cache: bool,
 }
@@ -139,20 +127,10 @@ impl ExecOptions {
         }
     }
 
-    /// Default options with the given parallelism. Accepts the typed
-    /// [`Parallelism`] enum or, as a thin compatibility shim, the old
-    /// `usize` worker count (`ExecOptions::with_parallelism(4)`).
-    pub fn with_parallelism(p: impl Into<Parallelism>) -> ExecOptions {
-        ExecOptions {
-            parallelism: p.into(),
-            ..ExecOptions::serial()
-        }
-    }
-
     /// These options with the given parallelism (consuming builder, the
     /// same style as [`ExecOptions::with_metrics`]).
-    pub fn parallel(mut self, p: impl Into<Parallelism>) -> ExecOptions {
-        self.parallelism = p.into();
+    pub fn parallel(mut self, p: Parallelism) -> ExecOptions {
+        self.parallelism = p;
         self
     }
 
@@ -190,7 +168,7 @@ impl ExecOptions {
         self
     }
 
-    /// These options with the plan cache disabled: every `Database::sql`
+    /// These options with the plan cache disabled: every `Session::sql`
     /// call re-parses and re-optimizes.
     pub fn without_plan_cache(mut self) -> ExecOptions {
         self.plan_cache = false;
@@ -237,10 +215,7 @@ pub fn execute(
     catalog: &dyn Catalog,
     opts: &ExecOptions,
 ) -> Result<RecordBatch> {
-    let optimized = opts.optimizer().optimize(plan, catalog)?;
-    let mut op = create_physical_plan(&optimized, catalog, opts)?;
-    let _kernel = crate::kernel_metrics::install(opts.metrics.clone());
-    Ok(drain_one(op.as_mut())?.decoded())
+    execute_optimized(&optimize_plan(plan, catalog, opts)?, catalog, opts)
 }
 
 /// Execute an *already optimized* plan, returning a single concatenated
@@ -256,19 +231,6 @@ pub fn execute_optimized(
     let mut op = create_physical_plan(optimized, catalog, opts)?;
     let _kernel = crate::kernel_metrics::install(opts.metrics.clone());
     Ok(drain_one(op.as_mut())?.decoded())
-}
-
-/// Optimize and execute a plan, returning the raw batch stream (decoded,
-/// like [`execute`]).
-pub fn execute_plan(
-    plan: LogicalPlan,
-    catalog: &dyn Catalog,
-    opts: &ExecOptions,
-) -> Result<Vec<RecordBatch>> {
-    let optimized = opts.optimizer().optimize(plan, catalog)?;
-    let mut op = create_physical_plan(&optimized, catalog, opts)?;
-    let _kernel = crate::kernel_metrics::install(opts.metrics.clone());
-    Ok(drain(op.as_mut())?.iter().map(|b| b.decoded()).collect())
 }
 
 /// Render an EXPLAIN report: the plan before and after optimization, with
@@ -393,28 +355,18 @@ mod tests {
                 )
         };
         let a = execute(make_plan(), &cat, &ExecOptions::default()).unwrap();
-        let b = execute(make_plan(), &cat, &ExecOptions::with_parallelism(4)).unwrap();
+        let b = execute(
+            make_plan(),
+            &cat,
+            &ExecOptions::default().parallel(Parallelism::Fixed(4)),
+        )
+        .unwrap();
         assert_eq!(a.row(0)[0], b.row(0)[0]);
         let (ma, mb) = (
             a.row(0)[1].as_float().unwrap(),
             b.row(0)[1].as_float().unwrap(),
         );
         assert!((ma - mb).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parallelism_usize_shim_maps_to_enum() {
-        assert_eq!(Parallelism::from(0), Parallelism::Serial);
-        assert_eq!(Parallelism::from(1), Parallelism::Serial);
-        assert_eq!(Parallelism::from(4), Parallelism::Fixed(4));
-        assert_eq!(
-            ExecOptions::with_parallelism(4).parallelism,
-            Parallelism::Fixed(4)
-        );
-        assert_eq!(
-            ExecOptions::with_parallelism(Parallelism::Auto).parallelism,
-            Parallelism::Auto
-        );
     }
 
     #[test]
@@ -464,7 +416,7 @@ mod tests {
         let b = execute(
             make_plan(),
             &cat,
-            &ExecOptions::with_parallelism(Parallelism::Fixed(1)),
+            &ExecOptions::default().parallel(Parallelism::Fixed(1)),
         )
         .unwrap();
         assert_eq!(a.to_rows(), b.to_rows());
@@ -481,7 +433,7 @@ mod tests {
             )
             .sort(vec![asc(col("big_k"))])
             .limit(5);
-        let opts = ExecOptions::with_parallelism(Parallelism::Fixed(2));
+        let opts = ExecOptions::default().parallel(Parallelism::Fixed(2));
         let (report, result) = explain_analyze(&plan, &cat, &opts).unwrap();
         assert_eq!(result.num_rows(), 5);
         assert!(report.contains("workers=2"), "{report}");

@@ -37,8 +37,7 @@ pub mod stats;
 pub use catalog::{Catalog, MemCatalog};
 pub use error::QueryError;
 pub use executor::{
-    execute, execute_optimized, execute_plan, explain_analyze, optimize_plan, ExecOptions,
-    Parallelism,
+    execute, execute_optimized, explain_analyze, optimize_plan, ExecOptions, Parallelism,
 };
 pub use expr::{avg, col, count, count_star, lit, max, min, sum, AggExpr, BinOp, Expr, UnOp};
 pub use logical::{JoinType, LogicalPlan, SortKey};

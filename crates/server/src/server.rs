@@ -264,7 +264,7 @@ fn handle(session: &Session, request: Request) -> Response {
         Request::Sql { query } => rows_response(session.sql(&query)),
         Request::Insert { table, rows } => {
             let n = rows.len();
-            match session.insert(&table, rows) {
+            match session.database().insert(&table, rows) {
                 Ok(()) => Response::Inserted { rows: n },
                 Err(e) => error_response(e),
             }

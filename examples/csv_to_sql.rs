@@ -34,8 +34,9 @@ fn main() {
     }
 
     // 2. Query it with SQL immediately.
+    let session = db.session();
     println!("\nsql> densest coastal cities");
-    let out = db
+    let out = session
         .sql(
             "SELECT city, population / area_km2 AS density \
              FROM cities WHERE coastal = TRUE ORDER BY density DESC LIMIT 3",
@@ -51,7 +52,7 @@ fn main() {
     }
 
     println!("\nsql> population by country");
-    let out = db
+    let out = session
         .sql(
             "SELECT country, SUM(population) AS total, COUNT(*) AS cities \
              FROM cities GROUP BY country ORDER BY total DESC",

@@ -66,7 +66,8 @@ fn main() {
     // declarative request assembled with the `SearchRequest` builder.
     let mut query_vec = vec![0.1f32; 8];
     query_vec[0] = 1.0; // the "audio" direction
-    let unified = db
+    let session = db.session();
+    let unified = session
         .search("products")
         .filter(
             col("price")
@@ -98,7 +99,7 @@ fn main() {
 
     // Same request, routed through the bolt-on three-service composition
     // (the measured baseline the unified engine replaces).
-    let bolton = db
+    let bolton = session
         .search("products")
         .filter(
             col("price")

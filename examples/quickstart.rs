@@ -38,7 +38,9 @@ fn main() {
     db.insert("sales", rows).expect("insert");
 
     // 3. A declarative query: revenue per region for widgets, best first.
-    let plan = db
+    //    Every read goes through a session.
+    let session = db.session();
+    let plan = session
         .query("sales")
         .expect("scan")
         .filter(col("product").eq(lit("widget")))
@@ -54,7 +56,7 @@ fn main() {
 
     // 4. EXPLAIN ANALYZE runs the plan instrumented: the optimized tree
     //    annotated with measured per-operator rows and elapsed time.
-    let (report, out) = db.explain_analyze(&plan).expect("explain analyze");
+    let (report, out) = session.explain_analyze(&plan).expect("explain analyze");
     println!("{report}");
 
     // 5. Print the result.

@@ -21,6 +21,7 @@ fn main() {
         db.register_table(name, (*table).clone()).unwrap();
     }
 
+    let session = db.session();
     let queries = [
         "SELECT COUNT(*) AS orders, AVG(o_totalprice) AS avg_price FROM orders",
         "SELECT c_mktsegment, COUNT(*) AS customers \
@@ -38,7 +39,7 @@ fn main() {
 
     for q in queries {
         println!("\nsql> {q}");
-        match db.sql(q) {
+        match session.sql(q) {
             Ok(batch) => {
                 let names: Vec<&str> = batch
                     .schema()
@@ -62,7 +63,7 @@ fn main() {
              FROM supplier JOIN nation ON s_nationkey = n_nationkey \
              GROUP BY n_name ORDER BY suppliers DESC LIMIT 5";
     println!("\nsql> {q}");
-    let plan = db.sql(q).expect("explain analyze");
+    let plan = session.sql(q).expect("explain analyze");
     for i in 0..plan.num_rows() {
         println!("{}", plan.row(i)[0]);
     }

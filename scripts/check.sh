@@ -16,6 +16,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test -q =="
 cargo test --workspace -q
 
+# perfbench is its own cargo workspace, so the builds above never compile
+# it; a facade change could otherwise break the benchmark unnoticed.
+echo "== benchmark build (perfbench) =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== fault-injection / crash-recovery suite =="
 cargo test -q -p backbone-txn fault
 cargo test -q -p backbone-bench --test recovery

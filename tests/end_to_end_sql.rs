@@ -4,6 +4,7 @@
 use backbone_query::logical::{asc, desc};
 use backbone_query::{
     avg, col, count_star, execute, lit, max, min, sum, Catalog, ExecOptions, LogicalPlan,
+    Parallelism,
 };
 use backbone_storage::Value;
 use backbone_workloads::tpch;
@@ -132,7 +133,12 @@ fn parallel_scans_agree_with_serial_across_queries() {
     let cat = catalog();
     for (name, plan) in backbone_workloads::queries::all_queries(&cat).unwrap() {
         let a = execute(plan.clone(), &cat, &ExecOptions::default()).unwrap();
-        let b = execute(plan, &cat, &ExecOptions::with_parallelism(4)).unwrap();
+        let b = execute(
+            plan,
+            &cat,
+            &ExecOptions::default().parallel(Parallelism::Fixed(4)),
+        )
+        .unwrap();
         // Aggregated outputs are order-stable for Q1/Q3/Q5 (sorted) and a
         // single row for Q6; compare with float tolerance.
         let ra = a.to_rows();

@@ -4,7 +4,9 @@
 //! rule alone, and no rules — all answers must agree.
 
 use backbone_query::optimizer::Rule;
-use backbone_query::{col, count_star, execute, lit, sum, ExecOptions, LogicalPlan, MemCatalog};
+use backbone_query::{
+    col, count_star, execute, lit, sum, ExecOptions, LogicalPlan, MemCatalog, Parallelism,
+};
 use backbone_storage::{DataType, Field, Schema, Table, Value};
 use proptest::prelude::*;
 
@@ -106,7 +108,7 @@ proptest! {
         }
 
         // And the optimized plan under parallel scans.
-        let got = execute(plan, &cat, &ExecOptions::with_parallelism(3)).unwrap().to_rows();
+        let got = execute(plan, &cat, &ExecOptions::default().parallel(Parallelism::Fixed(3))).unwrap().to_rows();
         // Shapes 0 and 4 are unordered projections: compare as multisets.
         let sorted = |mut v: Vec<Vec<Value>>| { v.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}"))); v };
         prop_assert_eq!(sorted(got), sorted(reference));

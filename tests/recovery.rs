@@ -435,7 +435,10 @@ fn no_acked_write_from_batched_group_commit_is_lost_on_crash() {
     );
     // Recovered rows are visible to snapshot reads immediately.
     assert_eq!(
-        db.sql("SELECT id FROM events").unwrap().num_rows(),
+        db.session()
+            .sql("SELECT id FROM events")
+            .unwrap()
+            .num_rows(),
         expected.len()
     );
     let _ = std::fs::remove_dir_all(&dir);

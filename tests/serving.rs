@@ -14,7 +14,7 @@
 //! - **freshness**: once every writer has finished, a new snapshot sees
 //!   everything.
 
-use backbone_core::Database;
+use backbone_core::{Database, Session};
 use backbone_query::ExecOptions;
 use backbone_storage::{DataType, Field, Schema, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -95,13 +95,13 @@ fn readers_see_prefix_consistent_snapshots_while_writers_churn() {
 
     let writer_handles: Vec<_> = (0..writers)
         .map(|w| {
-            let session = db.session();
+            let db = db.clone();
             std::thread::spawn(move || {
                 for b in 0..batches_per_writer {
                     let rows = (0..BATCH)
                         .map(|i| vec![Value::Int(w as i64), Value::Int((b * BATCH + i) as i64)])
                         .collect();
-                    session.insert("stream", rows).unwrap();
+                    db.insert("stream", rows).unwrap();
                 }
             })
         })
@@ -117,7 +117,11 @@ fn readers_see_prefix_consistent_snapshots_while_writers_churn() {
     }
 
     // Freshness: with all writers done, a new snapshot sees every row.
-    let rows = db.sql("SELECT writer, seq FROM stream").unwrap().to_rows();
+    let rows = db
+        .session()
+        .sql("SELECT writer, seq FROM stream")
+        .unwrap()
+        .to_rows();
     assert_eq!(rows.len(), writers * batches_per_writer * BATCH);
     assert_consistent(&rows, writers, "final read");
 }
@@ -134,25 +138,24 @@ fn pinned_snapshot_is_immune_to_later_commits() {
     )
     .unwrap();
 
-    let session = db.session();
-    let pin = session.pin_snapshot();
-    let at_pin = ExecOptions::serial().at_snapshot(pin.epoch());
-    let before = db
-        .execute_with(db.query("stream").unwrap(), &at_pin)
-        .unwrap()
-        .to_rows();
+    let pin = db.pin_snapshot();
+    let at_pin = db
+        .session()
+        .with_options(ExecOptions::serial().at_snapshot(pin.epoch()));
+    let scan = at_pin.query("stream").unwrap();
+    let before = at_pin.execute(scan.clone()).unwrap().to_rows();
     assert_eq!(before.len(), BATCH);
 
     // Concurrent churn after the pin.
     let handles: Vec<_> = (1..4)
         .map(|w| {
-            let session = db.session();
+            let db = db.clone();
             std::thread::spawn(move || {
                 for b in 0..10 {
                     let rows = (0..BATCH)
                         .map(|i| vec![Value::Int(w as i64), Value::Int((b * BATCH + i) as i64)])
                         .collect();
-                    session.insert("stream", rows).unwrap();
+                    db.insert("stream", rows).unwrap();
                 }
             })
         })
@@ -162,15 +165,12 @@ fn pinned_snapshot_is_immune_to_later_commits() {
     }
 
     // The pinned epoch still answers exactly as before the churn...
-    let after = db
-        .execute_with(db.query("stream").unwrap(), &at_pin)
-        .unwrap()
-        .to_rows();
+    let after = at_pin.execute(scan).unwrap().to_rows();
     assert_eq!(before, after, "pinned snapshot drifted under churn");
     drop(pin);
     // ...while an unpinned query sees all of it.
     assert_eq!(db.row_count("stream"), Some(BATCH + 3 * 10 * BATCH));
-    let fresh = db.sql("SELECT writer, seq FROM stream").unwrap();
+    let fresh = db.session().sql("SELECT writer, seq FROM stream").unwrap();
     assert_eq!(fresh.num_rows(), BATCH + 3 * 10 * BATCH);
 }
 
@@ -199,13 +199,13 @@ fn session_snapshots_compose_with_aggregates_and_filters() {
     };
     let writer_handles: Vec<_> = (0..writers)
         .map(|w| {
-            let session = db.session();
+            let db = db.clone();
             std::thread::spawn(move || {
                 for b in 0..25 {
                     let rows = (0..BATCH)
                         .map(|i| vec![Value::Int(w as i64), Value::Int((b * BATCH + i) as i64)])
                         .collect();
-                    session.insert("stream", rows).unwrap();
+                    db.insert("stream", rows).unwrap();
                 }
             })
         })
@@ -217,6 +217,7 @@ fn session_snapshots_compose_with_aggregates_and_filters() {
     agg_reader.join().unwrap();
 
     let out = db
+        .session()
         .sql("SELECT writer, COUNT(*) AS n FROM stream GROUP BY writer ORDER BY writer")
         .unwrap();
     assert_eq!(out.num_rows(), writers);
@@ -231,6 +232,17 @@ fn session_snapshots_compose_with_aggregates_and_filters() {
 // execution pinned at the same epoch, and commits are never masked by a
 // stale hit — all checked while writers churn.
 // ---------------------------------------------------------------------------
+
+/// Two sessions reading at `epoch`: one through the serving-path caches,
+/// one with both caches off.
+fn pinned_sessions(db: &Database, epoch: u64) -> (Session, Session) {
+    let hot = ExecOptions::serial().at_snapshot(epoch);
+    let cold = hot.clone().without_caches();
+    (
+        db.session().with_options(hot),
+        db.session().with_options(cold),
+    )
+}
 
 #[test]
 fn cached_hits_equal_cold_execution_at_same_epoch() {
@@ -248,13 +260,12 @@ fn cached_hits_equal_cold_execution_at_same_epoch() {
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     let pin = db.pin_snapshot();
-                    let hot = ExecOptions::serial().at_snapshot(pin.epoch());
-                    let cold = hot.clone().without_caches();
+                    let (hot, cold) = pinned_sessions(&db, pin.epoch());
                     // Twice through the caching path (the second is a result
                     // hit whenever no commit raced the first), once cold.
-                    let a = db.sql_with(q, &hot).unwrap().to_rows();
-                    let b = db.sql_with(q, &hot).unwrap().to_rows();
-                    let c = db.sql_with(q, &cold).unwrap().to_rows();
+                    let a = hot.sql(q).unwrap().to_rows();
+                    let b = hot.sql(q).unwrap().to_rows();
+                    let c = cold.sql(q).unwrap().to_rows();
                     assert_eq!(a, b, "same epoch, same statement, same rows");
                     assert_eq!(a, c, "cached path diverged from cold execution");
                     assert_consistent(&a, writers, "cached read");
@@ -265,13 +276,13 @@ fn cached_hits_equal_cold_execution_at_same_epoch() {
 
     let writer_handles: Vec<_> = (0..writers)
         .map(|w| {
-            let session = db.session();
+            let db = db.clone();
             std::thread::spawn(move || {
                 for b in 0..batches_per_writer {
                     let rows = (0..BATCH)
                         .map(|i| vec![Value::Int(w as i64), Value::Int((b * BATCH + i) as i64)])
                         .collect();
-                    session.insert("stream", rows).unwrap();
+                    db.insert("stream", rows).unwrap();
                 }
             })
         })
@@ -287,15 +298,12 @@ fn cached_hits_equal_cold_execution_at_same_epoch() {
     // Quiesced: a repeat at one epoch is a deterministic result-cache hit,
     // still byte-identical to a cold run at that epoch.
     let pin = db.pin_snapshot();
-    let hot = ExecOptions::serial().at_snapshot(pin.epoch());
-    let warmup = db.sql_with(q, &hot).unwrap().to_rows();
+    let (hot, cold) = pinned_sessions(&db, pin.epoch());
+    let warmup = hot.sql(q).unwrap().to_rows();
     let hits_before = db.metrics().value("cache.result.hits");
-    let hit = db.sql_with(q, &hot).unwrap().to_rows();
+    let hit = hot.sql(q).unwrap().to_rows();
     assert_eq!(db.metrics().value("cache.result.hits"), hits_before + 1);
-    let cold = db
-        .sql_with(q, &hot.clone().without_caches())
-        .unwrap()
-        .to_rows();
+    let cold = cold.sql(q).unwrap().to_rows();
     assert_eq!(warmup, hit);
     assert_eq!(hit, cold, "quiesced hit differs from cold execution");
     assert_eq!(hit.len(), writers * batches_per_writer * BATCH);
@@ -306,7 +314,7 @@ fn post_commit_reads_never_serve_stale_hits() {
     let db = Database::new();
     db.create_table("stream", stream_schema()).unwrap();
     let q = "SELECT COUNT(*) AS n FROM stream";
-    let count = |db: &Database| match db.sql(q).unwrap().row(0)[0] {
+    let count = |db: &Database| match db.session().sql(q).unwrap().row(0)[0] {
         Value::Int(n) => n as usize,
         ref v => panic!("count returned {v:?}"),
     };
@@ -332,12 +340,12 @@ fn post_commit_reads_never_serve_stale_hits() {
     // sees everything, even though the statement stayed cache-hot throughout.
     let stop = Arc::new(AtomicBool::new(false));
     let reader = {
-        let db = db.clone();
+        let session = db.session();
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             let mut last = 0usize;
             while !stop.load(Ordering::Relaxed) {
-                let n = match db.sql(q).unwrap().row(0)[0] {
+                let n = match session.sql(q).unwrap().row(0)[0] {
                     Value::Int(n) => n as usize,
                     ref v => panic!("count returned {v:?}"),
                 };
